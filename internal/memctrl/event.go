@@ -1,7 +1,5 @@
 package memctrl
 
-import "container/heap"
-
 // eventKind discriminates scheduled simulator events.
 type eventKind uint8
 
@@ -31,31 +29,33 @@ type event struct {
 	token uint64
 }
 
-// eventHeap is a min-heap on (time, seq).
+// eventHeap is a binary min-heap on (time, seq), kept typed so pushing and
+// popping an event copies it in place instead of boxing it in an interface.
+// seq is unique, so the pop order is fully determined.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // schedule pushes an event.
 func (c *Controller) schedule(e event) {
 	e.seq = c.seq
 	c.seq++
-	heap.Push(&c.events, e)
+	h := append(c.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	c.events = h
 }
 
 // nextEventTime peeks at the earliest scheduled event time.
@@ -68,5 +68,26 @@ func (c *Controller) nextEventTime() (Clock, bool) {
 
 // popEvent removes and returns the earliest event.
 func (c *Controller) popEvent() event {
-	return heap.Pop(&c.events).(event)
+	h := c.events
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	i := 0
+	for {
+		least := i
+		if l := 2*i + 1; l < n && h[l].before(&h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h[r].before(&h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	c.events = h
+	return top
 }
