@@ -3,7 +3,6 @@ package sim
 import (
 	"womcpcm/internal/core"
 	"womcpcm/internal/memctrl"
-	"womcpcm/internal/stats"
 )
 
 // RthSweepResult measures the PCM-refresh threshold r_th (§3.2): low
@@ -28,58 +27,28 @@ func RthSweep(cfg ExpConfig, thresholds []float64) (*RthSweepResult, error) {
 		Refreshes:  make([]uint64, len(thresholds)),
 		Aborts:     make([]uint64, len(thresholds)),
 	}
-	baseMeans := make([]float64, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		run, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		baseMeans[p] = run.WriteLatency.Mean()
-		return nil
-	}); err != nil {
+	// Config 0 is the baseline each threshold is normalized to.
+	cfgs, err := cfg.archConfigs(core.Baseline)
+	if err != nil {
 		return nil, err
 	}
-	type job struct{ prof, th int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for t := range thresholds {
-			jobs = append(jobs, job{p, t})
-		}
-	}
-	type cell struct {
-		norm              float64
-		refreshes, aborts uint64
-	}
-	cells := make([][]cell, len(cfg.Profiles))
-	for p := range cells {
-		cells[p] = make([]cell, len(thresholds))
-	}
-	if err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		mc := memctrl.Config{
+	for _, th := range thresholds {
+		cfgs = append(cfgs, memctrl.Config{
 			Geometry: cfg.Geometry,
 			Timing:   cfg.Timing,
 			WOM:      memctrl.DefaultWOM(),
-			Refresh:  &memctrl.RefreshConfig{ThresholdPct: thresholds[j.th], TableSize: 5},
-		}
-		run, err := cfg.runConfig(mc, cfg.Profiles[j.prof])
-		if err != nil {
-			return err
-		}
-		cells[j.prof][j.th] = cell{
-			norm:      run.WriteLatency.Mean() / baseMeans[j.prof],
-			refreshes: run.Refreshes,
-			aborts:    run.RefreshAborts,
-		}
-		return nil
-	}); err != nil {
+			Refresh:  &memctrl.RefreshConfig{ThresholdPct: th, TableSize: 5},
+		})
+	}
+	runs, err := cfg.runGrid(cfgs)
+	if err != nil {
 		return nil, err
 	}
 	for t := range thresholds {
-		for p := range cfg.Profiles {
-			res.NormWrite[t] += cells[p][t].norm / float64(len(cfg.Profiles))
-			res.Refreshes[t] += cells[p][t].refreshes
-			res.Aborts[t] += cells[p][t].aborts
+		for _, r := range runs {
+			res.NormWrite[t] += r[t+1].WriteLatency.Mean() / r[0].WriteLatency.Mean() / float64(len(cfg.Profiles))
+			res.Refreshes[t] += r[t+1].Refreshes
+			res.Aborts[t] += r[t+1].RefreshAborts
 		}
 	}
 	return res, nil
@@ -97,8 +66,6 @@ type OrgAblationResult struct {
 func OrgAblation(cfg ExpConfig) (*OrgAblationResult, error) {
 	cfg = cfg.normalize()
 	res := &OrgAblationResult{}
-	type triple struct{ base, wide, hidden *stats.Run }
-	rows := make([]triple, len(cfg.Profiles))
 	orgCfg := func(org memctrl.Organization) memctrl.Config {
 		return memctrl.Config{
 			Geometry: cfg.Geometry,
@@ -106,28 +73,18 @@ func OrgAblation(cfg ExpConfig) (*OrgAblationResult, error) {
 			WOM:      &memctrl.WOMConfig{Rewrites: 2, Org: org},
 		}
 	}
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		base, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		wide, err := cfg.runConfig(orgCfg(memctrl.WideColumn), cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		hidden, err := cfg.runConfig(orgCfg(memctrl.HiddenPage), cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		rows[p] = triple{base, wide, hidden}
-		return nil
-	}); err != nil {
+	cfgs, err := cfg.archConfigs(core.Baseline)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := cfg.runGrid(append(cfgs, orgCfg(memctrl.WideColumn), orgCfg(memctrl.HiddenPage)))
+	if err != nil {
 		return nil, err
 	}
 	n := float64(len(cfg.Profiles))
-	for _, r := range rows {
-		ww, wr := r.wide.Normalized(r.base)
-		hw, hr := r.hidden.Normalized(r.base)
+	for _, r := range runs {
+		ww, wr := r[1].Normalized(r[0])
+		hw, hr := r[2].Normalized(r[0])
 		res.WideWrite += ww / n
 		res.WideRead += wr / n
 		res.HiddenWrite += hw / n
@@ -158,35 +115,23 @@ func PausingAblation(cfg ExpConfig) (*PausingAblationResult, error) {
 			Refresh:  &memctrl.RefreshConfig{ThresholdPct: 10, TableSize: 5, NoPausing: noPausing},
 		}
 	}
-	type triple struct{ base, with, without *stats.Run }
-	rows := make([]triple, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		base, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		with, err := cfg.runConfig(refreshCfg(false), cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		without, err := cfg.runConfig(refreshCfg(true), cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		rows[p] = triple{base, with, without}
-		return nil
-	}); err != nil {
+	cfgs, err := cfg.archConfigs(core.Baseline)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := cfg.runGrid(append(cfgs, refreshCfg(false), refreshCfg(true)))
+	if err != nil {
 		return nil, err
 	}
 	n := float64(len(cfg.Profiles))
-	for _, r := range rows {
-		ww, wr := r.with.Normalized(r.base)
-		ow, or := r.without.Normalized(r.base)
+	for _, r := range runs {
+		ww, wr := r[1].Normalized(r[0])
+		ow, or := r[2].Normalized(r[0])
 		res.WithWrite += ww / n
 		res.WithRead += wr / n
 		res.WithoutWrite += ow / n
 		res.WithoutRead += or / n
-		res.Aborts += r.with.RefreshAborts
+		res.Aborts += r[1].RefreshAborts
 	}
 	return res, nil
 }
@@ -213,47 +158,25 @@ func CodeAblation(cfg ExpConfig, rewrites []int) (*CodeAblationResult, error) {
 	for i, k := range rewrites {
 		res.Bound[i] = (float64(k) - 1 + model.s) / (float64(k) * model.s)
 	}
-	baseMeans := make([]float64, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		run, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		baseMeans[p] = run.WriteLatency.Mean()
-		return nil
-	}); err != nil {
+	// Config 0 is the baseline each budget is normalized to.
+	cfgs, err := cfg.archConfigs(core.Baseline)
+	if err != nil {
 		return nil, err
 	}
-	type job struct{ prof, k int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for k := range rewrites {
-			jobs = append(jobs, job{p, k})
-		}
-	}
-	norms := make([][]float64, len(cfg.Profiles))
-	for p := range norms {
-		norms[p] = make([]float64, len(rewrites))
-	}
-	if err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		mc := memctrl.Config{
+	for _, k := range rewrites {
+		cfgs = append(cfgs, memctrl.Config{
 			Geometry: cfg.Geometry,
 			Timing:   cfg.Timing,
-			WOM:      &memctrl.WOMConfig{Rewrites: rewrites[j.k]},
-		}
-		run, err := cfg.runConfig(mc, cfg.Profiles[j.prof])
-		if err != nil {
-			return err
-		}
-		norms[j.prof][j.k] = run.WriteLatency.Mean() / baseMeans[j.prof]
-		return nil
-	}); err != nil {
+			WOM:      &memctrl.WOMConfig{Rewrites: k},
+		})
+	}
+	runs, err := cfg.runGrid(cfgs)
+	if err != nil {
 		return nil, err
 	}
 	for k := range rewrites {
-		for p := range cfg.Profiles {
-			res.NormWrite[k] += norms[p][k] / float64(len(cfg.Profiles))
+		for _, r := range runs {
+			res.NormWrite[k] += r[k+1].WriteLatency.Mean() / r[0].WriteLatency.Mean() / float64(len(cfg.Profiles))
 		}
 	}
 	return res, nil

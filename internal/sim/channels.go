@@ -2,13 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
 	"womcpcm/internal/memctrl"
+	"womcpcm/internal/pcm"
 	"womcpcm/internal/stats"
 	"womcpcm/internal/trace"
-	"womcpcm/internal/workload"
 )
 
 // ChannelScalingResult measures the §1 scaling axis the paper leaves on the
@@ -48,17 +49,18 @@ func ChannelScaling(cfg ExpConfig, channels []int) (*ChannelScalingResult, error
 	for p := range runs {
 		runs[p] = make([]*stats.Run, len(channels))
 	}
+	ts := cfg.traces(slices.Repeat([]pcm.Geometry{cfg.Geometry}, len(channels)))
 	if err := cfg.parMap(len(jobs), func(i int) error {
 		j := jobs[i]
 		mc, err := memctrl.NewMultiChannel(mcCfg, channels[j.ch])
 		if err != nil {
 			return err
 		}
-		gen, err := workload.NewGenerator(cfg.Profiles[j.prof], cfg.Geometry, cfg.Seed)
+		recs, err := ts.records(j.prof, cfg.Geometry)
 		if err != nil {
 			return err
 		}
-		run, err := mc.Run(trace.NewLimit(gen, cfg.Requests))
+		run, err := mc.Run(trace.NewSliceSource(recs))
 		if err != nil {
 			return fmt.Errorf("sim: %d channels on %s: %w", channels[j.ch], cfg.Profiles[j.prof].Name, err)
 		}

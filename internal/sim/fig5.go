@@ -2,7 +2,6 @@ package sim
 
 import (
 	"womcpcm/internal/core"
-	"womcpcm/internal/stats"
 	"womcpcm/internal/workload"
 )
 
@@ -43,26 +42,11 @@ func (r *Fig5Result) ReadReduction(a core.Arch) float64 { return reduction(r.Mea
 func Fig5(cfg ExpConfig) (*Fig5Result, error) {
 	cfg = cfg.normalize()
 	rows := make([]Fig5Row, len(cfg.Profiles))
-	type job struct{ prof, arch int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for a := range core.Arches() {
-			jobs = append(jobs, job{p, a})
-		}
+	cfgs, err := cfg.archConfigs(core.Arches()...)
+	if err != nil {
+		return nil, err
 	}
-	runs := make([][]*stats.Run, len(cfg.Profiles))
-	for i := range runs {
-		runs[i] = make([]*stats.Run, len(core.Arches()))
-	}
-	err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		run, err := cfg.runArch(core.Arches()[j.arch], cfg.Profiles[j.prof], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		runs[j.prof][j.arch] = run
-		return nil
-	})
+	runs, err := cfg.runGrid(cfgs)
 	if err != nil {
 		return nil, err
 	}

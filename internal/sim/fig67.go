@@ -1,9 +1,9 @@
 package sim
 
 import (
-	"sync"
-
 	"womcpcm/internal/core"
+	"womcpcm/internal/memctrl"
+	"womcpcm/internal/stats"
 	"womcpcm/internal/workload"
 )
 
@@ -41,42 +41,20 @@ type Fig7Result struct {
 	Mean         []float64
 }
 
-// bankSweep runs WCPCM across the Fig6BankCounts organizations and hands
-// each (profile, bankIdx) run to collect.
-func bankSweep(cfg ExpConfig, collect func(prof, bankIdx int, hitRate, writeMean float64)) error {
+// bankSweep runs WCPCM across the Fig6BankCounts organizations and returns
+// runs[profile][bankIdx].
+func bankSweep(cfg ExpConfig) ([][]*stats.Run, error) {
 	cfg = cfg.normalize()
-	type job struct{ prof, bank int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for b := range Fig6BankCounts {
-			jobs = append(jobs, job{p, b})
+	cfgs := make([]memctrl.Config, len(Fig6BankCounts))
+	for i, banks := range Fig6BankCounts {
+		g := cfg.Geometry
+		g.BanksPerRank = banks
+		var err error
+		if cfgs[i], err = cfg.archConfig(core.WCPCM, g); err != nil {
+			return nil, err
 		}
 	}
-	var mu lockedCollect
-	mu.f = collect
-	return cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		g := cfg.Geometry
-		g.BanksPerRank = Fig6BankCounts[j.bank]
-		run, err := cfg.runArch(core.WCPCM, cfg.Profiles[j.prof], g)
-		if err != nil {
-			return err
-		}
-		mu.call(j.prof, j.bank, run.CacheHitRate(), run.WriteLatency.Mean())
-		return nil
-	})
-}
-
-// lockedCollect serializes collect callbacks from parallel workers.
-type lockedCollect struct {
-	mu sync.Mutex
-	f  func(prof, bankIdx int, hitRate, writeMean float64)
-}
-
-func (l *lockedCollect) call(prof, bankIdx int, hitRate, writeMean float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.f(prof, bankIdx, hitRate, writeMean)
+	return cfg.runGrid(cfgs)
 }
 
 // Fig6 measures the WOM-cache hit rate per organization.
@@ -94,11 +72,14 @@ func Fig6(cfg ExpConfig) (*Fig6Result, error) {
 			HitRate:   make([]float64, len(Fig6BankCounts)),
 		}
 	}
-	err := bankSweep(cfg, func(prof, bankIdx int, hitRate, _ float64) {
-		res.Rows[prof].HitRate[bankIdx] = hitRate
-	})
+	runs, err := bankSweep(cfg)
 	if err != nil {
 		return nil, err
+	}
+	for p, r := range runs {
+		for b, run := range r {
+			res.Rows[p].HitRate[b] = run.CacheHitRate()
+		}
 	}
 	for b := range Fig6BankCounts {
 		for p := range res.Rows {
@@ -112,13 +93,7 @@ func Fig6(cfg ExpConfig) (*Fig6Result, error) {
 // 4-banks/rank configuration.
 func Fig7(cfg ExpConfig) (*Fig7Result, error) {
 	cfg = cfg.normalize()
-	raw := make([][]float64, len(cfg.Profiles))
-	for p := range raw {
-		raw[p] = make([]float64, len(Fig6BankCounts))
-	}
-	err := bankSweep(cfg, func(prof, bankIdx int, _, writeMean float64) {
-		raw[prof][bankIdx] = writeMean
-	})
+	runs, err := bankSweep(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -129,9 +104,9 @@ func Fig7(cfg ExpConfig) (*Fig7Result, error) {
 	}
 	for p, prof := range cfg.Profiles {
 		row := Fig7Row{Benchmark: prof.Name, Suite: prof.Suite, NormWrite: make([]float64, len(Fig6BankCounts))}
-		for b := range Fig6BankCounts {
-			if raw[p][0] > 0 {
-				row.NormWrite[b] = raw[p][b] / raw[p][0]
+		for b, run := range runs[p] {
+			if base := runs[p][0].WriteLatency.Mean(); base > 0 {
+				row.NormWrite[b] = run.WriteLatency.Mean() / base
 			}
 			res.Mean[b] += row.NormWrite[b] / float64(len(cfg.Profiles))
 		}

@@ -7,7 +7,6 @@ import (
 
 	"womcpcm/internal/core"
 	"womcpcm/internal/memctrl"
-	"womcpcm/internal/stats"
 )
 
 // HybridAblation quantifies the §4 "practical cached memory solution"
@@ -33,31 +32,19 @@ func HybridAblation(cfg ExpConfig) (*HybridAblationResult, error) {
 		Timing:   cfg.Timing,
 		Cache:    &memctrl.CacheConfig{Technology: memctrl.DRAMCache},
 	}
-	type triple struct{ base, wcpcm, hybrid *stats.Run }
-	rows := make([]triple, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		base, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		wcpcm, err := cfg.runArch(core.WCPCM, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		hybrid, err := cfg.runConfig(hybridCfg, cfg.Profiles[p])
-		if err != nil {
-			return err
-		}
-		rows[p] = triple{base, wcpcm, hybrid}
-		return nil
-	}); err != nil {
+	cfgs, err := cfg.archConfigs(core.Baseline, core.WCPCM)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := cfg.runGrid(append(cfgs, hybridCfg))
+	if err != nil {
 		return nil, err
 	}
 	res := &HybridAblationResult{}
 	n := float64(len(cfg.Profiles))
-	for _, r := range rows {
-		ww, wr := r.wcpcm.Normalized(r.base)
-		hw, hr := r.hybrid.Normalized(r.base)
+	for _, r := range runs {
+		ww, wr := r[1].Normalized(r[0])
+		hw, hr := r[2].Normalized(r[0])
 		res.WCPCMWrite += ww / n
 		res.WCPCMRead += wr / n
 		res.HybridWrite += hw / n

@@ -7,7 +7,6 @@ import (
 
 	"womcpcm/internal/core"
 	"womcpcm/internal/memctrl"
-	"womcpcm/internal/stats"
 )
 
 // SchedulingAblation compares the paper's §1 design space head-on: write
@@ -56,51 +55,25 @@ func SchedulingAblation(cfg ExpConfig) (*SchedulingAblationResult, error) {
 		res.Variants[i] = v.name
 	}
 
-	baseRuns := make([]*stats.Run, len(cfg.Profiles))
-	if err := cfg.parMap(len(cfg.Profiles), func(p int) error {
-		run, err := cfg.runArch(core.Baseline, cfg.Profiles[p], cfg.Geometry)
-		if err != nil {
-			return err
-		}
-		baseRuns[p] = run
-		return nil
-	}); err != nil {
+	// Config 0 is the FCFS baseline every variant is normalized to.
+	cfgs, err := cfg.archConfigs(core.Baseline)
+	if err != nil {
 		return nil, err
 	}
-
-	type job struct{ prof, variant int }
-	var jobs []job
-	for p := range cfg.Profiles {
-		for v := range variants {
-			jobs = append(jobs, job{p, v})
-		}
+	for _, v := range variants {
+		cfgs = append(cfgs, v.mc)
 	}
-	type cell struct {
-		w, r    float64
-		cancels uint64
-	}
-	cells := make([][]cell, len(cfg.Profiles))
-	for p := range cells {
-		cells[p] = make([]cell, len(variants))
-	}
-	if err := cfg.parMap(len(jobs), func(i int) error {
-		j := jobs[i]
-		run, err := cfg.runConfig(variants[j.variant].mc, cfg.Profiles[j.prof])
-		if err != nil {
-			return err
-		}
-		w, r := run.Normalized(baseRuns[j.prof])
-		cells[j.prof][j.variant] = cell{w: w, r: r, cancels: run.WriteCancels}
-		return nil
-	}); err != nil {
+	runs, err := cfg.runGrid(cfgs)
+	if err != nil {
 		return nil, err
 	}
 	n := float64(len(cfg.Profiles))
 	for v := range variants {
-		for p := range cfg.Profiles {
-			res.Write[v] += cells[p][v].w / n
-			res.Read[v] += cells[p][v].r / n
-			res.Cancels[v] += cells[p][v].cancels
+		for _, r := range runs {
+			w, rd := r[v+1].Normalized(r[0])
+			res.Write[v] += w / n
+			res.Read[v] += rd / n
+			res.Cancels[v] += r[v+1].WriteCancels
 		}
 	}
 	return res, nil

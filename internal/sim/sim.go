@@ -69,52 +69,94 @@ func (c ExpConfig) normalize() ExpConfig {
 	return c
 }
 
-// source builds the deterministic request stream for one benchmark: the
-// same (profile, geometry, seed) always replays the same trace, so every
-// architecture sees identical input.
-func (c ExpConfig) source(p workload.Profile, g pcm.Geometry) (trace.Source, error) {
-	gen, err := workload.NewGenerator(p, g, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return trace.NewLimit(gen, c.Requests), nil
+// traceSet generates each (profile, geometry) trace of one experiment once
+// and shares it among the simulations that replay it: the same
+// (profile, geometry, seed) always yields the same records, so every
+// configuration sees identical input. The records are read-only; each
+// simulation reads them through its own trace.SliceSource. The set forgets
+// a trace once its last simulation has taken it, so the trace is freed when
+// that simulation ends; experiments that order their jobs profile by profile
+// hold about Parallelism + 1 traces at a time.
+type traceSet struct {
+	cfg  ExpConfig
+	uses map[pcm.Geometry]int // simulations replaying each profile's trace
+	mu   sync.Mutex
+	live map[traceKey]*sharedTrace
 }
 
-// runArch simulates one benchmark on one architecture. When c.Ctx carries a
-// ClassCountsFunc (WithClassCounts), the simulation's write-class totals are
-// reported through it.
-func (c ExpConfig) runArch(a core.Arch, p workload.Profile, g pcm.Geometry) (*stats.Run, error) {
+type traceKey struct {
+	prof int // index into cfg.Profiles
+	geom pcm.Geometry
+}
+
+type sharedTrace struct {
+	once sync.Once
+	recs []trace.Record
+	err  error
+	left int // simulations that have not taken the trace yet
+}
+
+// traces returns an empty set for experiments that simulate every profile
+// once per entry of geoms, on that geometry. c must be normalized.
+func (c ExpConfig) traces(geoms []pcm.Geometry) *traceSet {
+	t := &traceSet{cfg: c, uses: make(map[pcm.Geometry]int), live: make(map[traceKey]*sharedTrace)}
+	for _, g := range geoms {
+		t.uses[g]++
+	}
+	return t
+}
+
+// records returns the trace of profile prof on geometry g, generating it on
+// first use; concurrent callers wait for that one generation.
+func (t *traceSet) records(prof int, g pcm.Geometry) ([]trace.Record, error) {
+	k := traceKey{prof, g}
+	t.mu.Lock()
+	e := t.live[k]
+	if e == nil {
+		e = &sharedTrace{left: t.uses[g]}
+		t.live[k] = e
+	}
+	if e.left--; e.left <= 0 {
+		delete(t.live, k)
+	}
+	t.mu.Unlock()
+	e.once.Do(func() {
+		// A negative request budget replays an empty trace.
+		n := max(t.cfg.Requests, 0)
+		e.recs, e.err = workload.Generate(t.cfg.Profiles[prof], g, t.cfg.Seed, n)
+	})
+	return e.recs, e.err
+}
+
+// archConfig returns the controller config of architecture a on geometry g.
+func (c ExpConfig) archConfig(a core.Arch, g pcm.Geometry) (memctrl.Config, error) {
 	opts := core.DefaultOptions()
 	opts.Geometry = g
 	opts.Timing = c.Timing
-	classes := classCountsOf(c.Ctx)
-	var counter *probe.CounterSink
-	if classes != nil {
-		counter = probe.NewCounterSink()
-		opts.Probe = probe.New(counter)
-	}
-	opts.Events = simEventsOf(c.Ctx)
 	sys, err := core.NewSystem(a, opts)
 	if err != nil {
-		return nil, err
+		return memctrl.Config{}, err
 	}
-	src, err := c.source(p, g)
-	if err != nil {
-		return nil, err
-	}
-	run, err := sys.Simulate(src)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", a, p.Name, err)
-	}
-	run.Workload = p.Name
-	reportClassCounts(classes, counter)
-	return run, nil
+	return sys.Config(), nil
 }
 
-// runConfig simulates one benchmark on an explicit controller config (for
-// ablations that reach past the core presets). Honors WithClassCounts like
-// runArch.
-func (c ExpConfig) runConfig(cfg memctrl.Config, p workload.Profile) (*stats.Run, error) {
+// archConfigs returns the controller configs of arches on c.Geometry.
+func (c ExpConfig) archConfigs(arches ...core.Arch) ([]memctrl.Config, error) {
+	out := make([]memctrl.Config, len(arches))
+	for i, a := range arches {
+		var err error
+		if out[i], err = c.archConfig(a, c.Geometry); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// runConfig simulates profile prof on one controller config, replaying its
+// trace from ts. When c.Ctx carries a ClassCountsFunc (WithClassCounts), the
+// simulation's write-class totals are reported through it.
+func (c ExpConfig) runConfig(ts *traceSet, cfg memctrl.Config, prof int) (*stats.Run, error) {
+	p := c.Profiles[prof]
 	classes := classCountsOf(c.Ctx)
 	var counter *probe.CounterSink
 	if classes != nil && cfg.Probe == nil {
@@ -128,17 +170,45 @@ func (c ExpConfig) runConfig(cfg memctrl.Config, p workload.Profile) (*stats.Run
 	if err != nil {
 		return nil, err
 	}
-	src, err := c.source(p, cfg.Geometry)
+	recs, err := ts.records(prof, cfg.Geometry)
 	if err != nil {
 		return nil, err
 	}
-	run, err := ctrl.Run(src)
+	run, err := ctrl.Run(trace.NewSliceSource(recs))
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s on %s: %w", cfg.ArchName(), p.Name, err)
 	}
 	run.Workload = p.Name
 	reportClassCounts(classes, counter)
 	return run, nil
+}
+
+// runGrid simulates every profile on every config and returns
+// runs[profile][config]. Jobs go profile by profile, so each trace is
+// generated once and dropped after its last config. c must be normalized.
+func (c ExpConfig) runGrid(cfgs []memctrl.Config) ([][]*stats.Run, error) {
+	geoms := make([]pcm.Geometry, len(cfgs))
+	for i, mc := range cfgs {
+		geoms[i] = mc.Geometry
+	}
+	ts := c.traces(geoms)
+	runs := make([][]*stats.Run, len(c.Profiles))
+	for p := range runs {
+		runs[p] = make([]*stats.Run, len(cfgs))
+	}
+	err := c.parMap(len(c.Profiles)*len(cfgs), func(i int) error {
+		p, v := i/len(cfgs), i%len(cfgs)
+		run, err := c.runConfig(ts, cfgs[v], p)
+		if err != nil {
+			return err
+		}
+		runs[p][v] = run
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return runs, nil
 }
 
 // parMap runs f(0..n-1) on at most c.Parallelism goroutines, stopping

@@ -196,16 +196,16 @@ func (g *Generator) geometric(mean int) int {
 
 // Generate materializes n records into a slice.
 func Generate(p Profile, g pcm.Geometry, seed int64, n int) ([]trace.Record, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("workload: negative record count %d", n)
+	}
 	gen, err := NewGenerator(p, g, seed)
 	if err != nil {
 		return nil, err
 	}
-	recs, err := trace.Collect(trace.NewLimit(gen, n))
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) != n {
-		return nil, fmt.Errorf("workload: generator yielded %d of %d records", len(recs), n)
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		recs[i], _ = gen.Next() // the stream never ends
 	}
 	return recs, nil
 }
