@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -215,6 +216,68 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	if hit.State() != StateSucceeded || !hit.View().Cached {
 		t.Errorf("post-flight submit not served from store: %s", hit.State())
+	}
+}
+
+// TestResubmitAfterDoneHitsStore pins the settle order of a successful
+// run: the result is stored before the job reads as succeeded, so a client
+// that sees the job done and resubmits at once is served from the store
+// rather than joining the settling flight.
+func TestResubmitAfterDoneHitsStore(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	mgr := New(Config{Workers: 1, QueueDepth: 8, Store: store})
+	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+	for seed := int64(1); seed <= 5; seed++ {
+		params := fastParams()
+		params.Requests = 2000
+		params.Seed = seed
+		req := JobRequest{Experiment: "fig5", Params: params}
+		first, err := mgr.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Minute)
+		for !first.State().Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d: job stuck in %s", seed, first.State())
+			}
+			runtime.Gosched()
+		}
+		if first.State() != StateSucceeded {
+			t.Fatalf("seed %d: first run %s", seed, first.State())
+		}
+		again, err := mgr.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := again.View(); again.State() != StateSucceeded || !v.Cached {
+			t.Fatalf("seed %d: resubmit right after done: state %s, cached %t, dedup_of %q",
+				seed, again.State(), v.Cached, v.DedupOf)
+		}
+	}
+}
+
+// TestStoreFailureKeepsJobSucceeded: a result that cannot be stored is
+// still served from memory; only womd_store_errors_total records the loss.
+func TestStoreFailureKeepsJobSucceeded(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	mgr := New(Config{Workers: 1, QueueDepth: 8, Store: store})
+	defer mgr.Shutdown(context.Background()) //nolint:errcheck
+	// Every Put now fails with resultstore.ErrClosed.
+	store.Close()
+
+	params := fastParams()
+	params.Requests = 2000
+	job, err := mgr.Submit(context.Background(), JobRequest{Experiment: "fig5", Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, mgr, job.ID())
+	if res, err := job.Result(); job.State() != StateSucceeded || res == nil || err != nil {
+		t.Fatalf("state %s, result %v, err %v", job.State(), res, err)
+	}
+	if n := mgr.Metrics().Snapshot().StoreErrors; n != 1 {
+		t.Errorf("store errors = %d, want 1", n)
 	}
 }
 

@@ -674,8 +674,10 @@ func (m *Manager) runJob(job *Job) {
 	switch {
 	case err == nil:
 		m.metrics.Completed.Add(1)
-		job.finish(StateSucceeded, res, nil)
+		// Store first: a client that sees the job succeeded and resubmits
+		// must find the result in the store.
 		m.storeResult(job, res, wall)
+		job.finish(StateSucceeded, res, nil)
 		m.settleFlight(job, StateSucceeded, res, nil)
 	case errors.Is(err, context.DeadlineExceeded):
 		err = fmt.Errorf("engine: job timed out after %s", job.timeout)
